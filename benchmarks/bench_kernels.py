@@ -9,6 +9,9 @@ Measures, on this machine:
    segment sum, float32).  The acceptance bar is >= 2x.
 2. **Tokens/sec, vanilla vs. group attention** at n in {256, 1024, 4096},
    both dtypes, forward-only under ``no_grad`` (the inference fast path).
+3. **GELU forward and forward+backward** on one ``infer_eeg`` FFN
+   activation (4 x 2001 x 256, float32) at two input scales, ``fused``
+   against the SciPy ``reference``.
 
 Run from the repo root::
 
@@ -46,6 +49,9 @@ HEADS = 4
 HEAD_DIM = 32
 N_GROUPS = 64
 TARGET_SPEEDUP = 2.0
+#: One FFN hidden activation of the repo benchmark's ``infer_eeg`` batch:
+#: 4 series x (2000 timestamps + CLS) x 4 * dim 64.
+GELU_SHAPE = (4, 2001, 256)
 
 
 def _time(fn, *, repeats: int, warmup: int = 1) -> float:
@@ -192,14 +198,51 @@ def bench_tokens_per_second(lengths=(256, 1024, 4096), repeats: int = 3) -> dict
     return results
 
 
+def bench_gelu(shape=GELU_SHAPE, repeats: int = 5) -> dict:
+    """GELU forward (no-grad) and forward+backward seconds per backend, float32.
+
+    Two input scales: standard deviation 0.6 is what the ``infer_eeg``
+    FFN feeds GELU (every block within |x| <= 3.5, the fused backend's
+    narrow rational); 2.0 sends almost every block to its full-range one.
+    """
+    result: dict = {"shape": list(shape), "dtype": "float32"}
+    for scale in (0.6, 2.0):
+        rng = np.random.default_rng(3)
+        x = (rng.standard_normal(shape) * scale).astype(np.float32)
+        upstream = rng.standard_normal(shape).astype(np.float32)
+
+        def forward():
+            with no_grad():
+                K.gelu(Tensor(x))
+
+        def forward_backward():
+            K.gelu(Tensor(x, requires_grad=True)).backward(upstream)
+
+        cell: dict = {}
+        for backend in ("reference", "fused"):
+            with K.use_backend(backend):
+                cell[backend] = {
+                    "forward_seconds": _time(forward, repeats=repeats),
+                    "forward_backward_seconds": _time(forward_backward, repeats=repeats),
+                }
+        for key in ("forward", "forward_backward"):
+            cell[f"speedup_{key}_fused_vs_reference"] = (
+                cell["reference"][f"{key}_seconds"] / cell["fused"][f"{key}_seconds"]
+            )
+        result[f"input_sd_{scale}"] = cell
+    return result
+
+
 def main(argv: list[str] | None = None) -> dict:
     args = parse_bench_args(__doc__, argv)
     if args.smoke:
         fwd_bwd = bench_group_forward_backward(n=128, repeats=1)
         tokens = bench_tokens_per_second(lengths=(64,), repeats=1)
+        gelu = bench_gelu(shape=(2, 65, 256), repeats=1)
     else:
         fwd_bwd = bench_group_forward_backward()
         tokens = bench_tokens_per_second()
+        gelu = bench_gelu()
     payload = {
         "meta": bench_meta(
             smoke=args.smoke,
@@ -209,6 +252,7 @@ def main(argv: list[str] | None = None) -> dict:
         ),
         "group_attention_forward_backward": fwd_bwd,
         "tokens_per_second": tokens,
+        "gelu": gelu,
     }
 
     fb = payload["group_attention_forward_backward"]
@@ -222,6 +266,17 @@ def main(argv: list[str] | None = None) -> dict:
                 f"n={n}: {v['tokens_per_second']:,.0f} tok/s" for n, v in per_length.items()
             )
             print(f"{kind:8s} {dtype_name}: {rates}")
+    shape = "x".join(str(size) for size in gelu["shape"])
+    for name, cell in gelu.items():
+        if not name.startswith("input_sd_"):
+            continue
+        for key, label in (("forward", "fwd"), ("forward_backward", "fwd+bwd")):
+            print(
+                f"gelu {shape} f32 {name} {label}: reference "
+                f"{cell['reference'][key + '_seconds']*1e3:.1f} ms, fused "
+                f"{cell['fused'][key + '_seconds']*1e3:.1f} ms "
+                f"({cell[f'speedup_{key}_fused_vs_reference']:.2f}x)"
+            )
     emit_payload(payload, "kernels", args.out, smoke=args.smoke)
     return payload
 

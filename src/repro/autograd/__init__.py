@@ -25,11 +25,7 @@ from repro.autograd.ops import (
     concat,
     dropout,
     embedding,
-    gelu,
-    log_softmax,
     masked_fill,
-    relu,
-    softmax,
     stack,
     where,
 )
@@ -54,11 +50,7 @@ __all__ = [
     "concat",
     "dropout",
     "embedding",
-    "gelu",
-    "log_softmax",
     "masked_fill",
-    "relu",
-    "softmax",
     "stack",
     "where",
     "conv1d",

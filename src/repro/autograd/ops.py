@@ -6,12 +6,13 @@ one gradient array per parent (or ``None`` for non-differentiable parents).
 
 The module also installs the arithmetic dunder methods and a set of
 convenience methods onto :class:`Tensor` at import time (see ``_install``),
-so user code can write ``(q @ k.T).softmax(-1)`` naturally.
+so user code can write ``(q @ k.swapaxes(-1, -2)).exp().sum(-1)`` naturally.
+Activations, softmax and the other fused kernels live in
+:mod:`repro.kernels` (e.g. ``repro.kernels.softmax(q @ k.swapaxes(-1, -2))``).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -22,18 +23,13 @@ from repro.autograd.tensor import Tensor, as_tensor, unbroadcast
 
 __all__ = [
     "add", "sub", "mul", "div", "neg", "pow_", "matmul",
-    "exp", "log", "sqrt", "tanh", "sigmoid", "relu", "gelu", "abs_",
+    "exp", "log", "sqrt", "tanh", "sigmoid", "abs_",
     "maximum", "clip",
     "sum_", "mean", "var", "max_", "min_",
     "reshape", "swapaxes", "transpose", "broadcast_to", "concat", "stack",
     "getitem", "where", "masked_fill", "dropout", "astype",
-    "softmax", "log_softmax",
     "embedding", "batched_segment_sum", "batched_gather",
 ]
-
-_SQRT_2 = math.sqrt(2.0)
-_SQRT_2_PI = math.sqrt(2.0 * math.pi)
-
 
 # ----------------------------------------------------------------------
 # Arithmetic
@@ -223,32 +219,6 @@ def sigmoid(a) -> Tensor:
 
     def backward(grad):
         return (grad * out_data * (1.0 - out_data),)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def relu(a) -> Tensor:
-    """Elementwise rectified linear unit."""
-    a = as_tensor(a)
-    mask = a.data > 0
-    out_data = np.where(mask, a.data, 0.0)
-
-    def backward(grad):
-        return (grad * mask,)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def gelu(a) -> Tensor:
-    """Exact (erf-based) Gaussian error linear unit."""
-    a = as_tensor(a)
-    x = a.data
-    cdf = 0.5 * (1.0 + _special.erf(x / _SQRT_2))
-    out_data = x * cdf
-
-    def backward(grad):
-        pdf = np.exp(-0.5 * x * x) / _SQRT_2_PI
-        return (grad * (cdf + x * pdf),)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -540,23 +510,6 @@ def astype(a, dtype) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# Softmax family (routed through the kernel layer)
-# ----------------------------------------------------------------------
-def softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis`` (kernel-layer dispatch)."""
-    from repro.kernels import functional as kernels
-
-    return kernels.softmax(a, axis=axis)
-
-
-def log_softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis`` (kernel-layer dispatch)."""
-    from repro.kernels import functional as kernels
-
-    return kernels.log_softmax(a, axis=axis)
-
-
-# ----------------------------------------------------------------------
 # Gather / scatter primitives (used heavily by group attention)
 # ----------------------------------------------------------------------
 def embedding(weight, indices) -> Tensor:
@@ -643,8 +596,6 @@ def _install() -> None:
     Tensor.sqrt = sqrt
     Tensor.tanh = tanh
     Tensor.sigmoid = sigmoid
-    Tensor.relu = relu
-    Tensor.gelu = gelu
     Tensor.abs = abs_
     Tensor.sum = sum_
     Tensor.mean = mean
@@ -655,8 +606,6 @@ def _install() -> None:
     Tensor.swapaxes = swapaxes
     Tensor.transpose = transpose
     Tensor.broadcast_to = broadcast_to
-    Tensor.softmax = softmax
-    Tensor.log_softmax = log_softmax
     Tensor.clip = clip
     Tensor.astype = astype
 

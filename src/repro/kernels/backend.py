@@ -14,7 +14,8 @@ set of numerical kernels the whole compute stack is built from:
   batched K-means of Sec. 4.4 is built from (Lloyd center updates,
   cluster sizes, Lemma-2 radii, nearest-center assignment);
 * ``linear`` — affine map over the last dimension;
-* ``layer_norm`` — normalization over the last dimension.
+* ``layer_norm`` — normalization over the last dimension;
+* ``gelu`` — the exact (erf-based) Gaussian error linear unit.
 
 :mod:`repro.kernels.functional` wraps these into autograd nodes; attention
 mechanisms and ``nn`` modules call the functional layer, never a backend
@@ -32,10 +33,12 @@ with :func:`set_backend` / :func:`use_backend` or the
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import threading
 
 import numpy as np
+from scipy import special as _special
 
 from repro.errors import ConfigError, ShapeError
 
@@ -52,6 +55,9 @@ __all__ = [
 
 #: Environment variable consulted on first use for the initial backend.
 BACKEND_ENV_VAR = "RITA_KERNEL_BACKEND"
+
+_SQRT_2 = math.sqrt(2.0)
+_SQRT_2_PI = math.sqrt(2.0 * math.pi)
 
 
 def _leading_axes(array: np.ndarray) -> tuple[int, ...]:
@@ -215,6 +221,24 @@ class KernelBackend:
         inv_std: np.ndarray,
         weight: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    # -- activations ------------------------------------------------------
+    def gelu(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact GELU ``x * Phi(x)``; returns ``(out, cdf)``.
+
+        ``cdf`` is the standard normal CDF ``Phi(x)``, the cache the
+        backward needs.  ``x`` is never modified.
+        """
+        raise NotImplementedError
+
+    def gelu_infer(self, x: np.ndarray) -> np.ndarray:
+        """Forward-only GELU: no cdf cache (the no-grad fast path)."""
+        out, _ = self.gelu(x)
+        return out
+
+    def gelu_backward(self, grad: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+        """``grad * (Phi(x) + x * phi(x))`` with ``cdf = Phi(x)`` from the forward."""
         raise NotImplementedError
 
 
@@ -405,6 +429,15 @@ class NumpyReferenceBackend(KernelBackend):
         grad_w = (grad * xhat).sum(axis=axes)
         grad_b = grad.sum(axis=axes)
         return grad_x, grad_w, grad_b
+
+    # -- activations ------------------------------------------------------
+    def gelu(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cdf = 0.5 * (1.0 + _special.erf(x / _SQRT_2))
+        return x * cdf, cdf
+
+    def gelu_backward(self, grad: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+        pdf = np.exp(-0.5 * x * x) / _SQRT_2_PI
+        return grad * (cdf + x * pdf)
 
 
 # ----------------------------------------------------------------------

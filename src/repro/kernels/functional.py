@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as _special
 
 from repro.autograd.tensor import Tensor, as_tensor, is_grad_enabled, unbroadcast
 from repro.errors import ShapeError
@@ -43,10 +42,6 @@ __all__ = [
     "masked_l1",
     "performer_phi",
 ]
-
-_SQRT_2 = math.sqrt(2.0)
-_SQRT_2_PI = math.sqrt(2.0 * math.pi)
-
 
 def _recording(*tensors: Tensor) -> bool:
     """True when this op must build a graph node."""
@@ -240,7 +235,7 @@ def layer_norm(x, weight, bias, eps: float = 1e-5) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# Activations (backend-agnostic fused nodes)
+# Activations
 # ----------------------------------------------------------------------
 def relu(a) -> Tensor:
     """Rectified linear unit; the no-grad path skips the mask entirely."""
@@ -257,17 +252,19 @@ def relu(a) -> Tensor:
 
 
 def gelu(a) -> Tensor:
-    """Exact (erf-based) Gaussian error linear unit."""
+    """Exact (erf-based) Gaussian error linear unit on the active backend.
+
+    Recording saves the forward's cdf ``Phi(x)`` for the backward; the
+    no-grad path asks the backend for the output alone.
+    """
     a = as_tensor(a)
-    x = a.data
-    cdf = 0.5 * (1.0 + _special.erf(x / _SQRT_2))
-    out_data = x * cdf
+    backend = get_backend()
     if not _recording(a):
-        return Tensor(out_data)
+        return Tensor(backend.gelu_infer(a.data))
+    out_data, cdf = backend.gelu(a.data)
 
     def backward(grad):
-        pdf = np.exp(-0.5 * x * x) / _SQRT_2_PI
-        return (grad * (cdf + x * pdf),)
+        return (backend.gelu_backward(grad, a.data, cdf),)
 
     return Tensor._make(out_data, (a,), backward)
 

@@ -16,7 +16,14 @@ Same semantics as :class:`~repro.kernels.backend.NumpyReferenceBackend`
   staging buffer, the per-batch segment offsets) are cached across calls,
   so steady-state training allocates no per-step scratch for the
   scatter/gather pair.  Only buffers that never escape a kernel call are
-  pooled; every returned array is freshly owned by the caller.
+  pooled; every returned array is freshly owned by the caller;
+* **vectorised float32 erf** — GELU evaluates ``erf`` as an odd
+  rational polynomial (Eigen's ``generic_fast_erf_float``, or a
+  lower-degree one of the same form for blocks within |x| <= 3.5)
+  block by block in pooled scratch, instead of SciPy's scalar loop.
+  Its error against SciPy is at most ``2.9e-7 * max(1, |x|)`` (the
+  tests bound it at ``1e-6``); other dtypes keep the exact SciPy path,
+  so float64 gradchecks test the exact formula.
 
 The scratch pool is **per thread** (``threading.local``): the parallel
 backend and the serve layer call these kernels concurrently, and a
@@ -33,6 +40,8 @@ import threading
 import numpy as np
 
 from repro.kernels.backend import (
+    _SQRT_2,
+    _SQRT_2_PI,
     NumpyReferenceBackend,
     _flatten_batch,
     _leading_axes,
@@ -42,6 +51,95 @@ __all__ = ["FusedNumpyBackend"]
 
 #: Pooled-scratch entries kept before the cache resets (shape churn guard).
 _MAX_POOLED = 64
+
+#: Elements per GELU block: the block's input, output and two scratch
+#: rows (1 MiB in float32) stay in L2 across the 18-26 passes of the
+#: polynomial, while per-call overhead stays small.  Median per call on
+#: 4 x 2001 x 256 float32 FFN activations, 2-CPU Xeon: 16K 8.4 ms,
+#: 32K to 128K 6.9-7.4 ms (within run-to-run noise).
+_GELU_BLOCK = 1 << 16
+
+# Eigen's ``generic_fast_erf_float``: on |z| <= 4, where float32 erf is
+# already +-1, erf(z) ~= z * P(z^2) / Q(z^2).  Coefficients are in
+# increasing powers of z^2.
+_ERF_NUM = (
+    -1.60960333262415e-02,
+    -2.95459980854025e-03,
+    -7.34990630326855e-04,
+    -5.69250639462346e-05,
+    -2.10102402082508e-06,
+    2.77068142495902e-08,
+    -2.72614225801306e-10,
+)
+_ERF_DEN = (
+    -1.42647390514189e-02,
+    -7.37332916720468e-03,
+    -1.68282697438203e-03,
+    -2.13374055278905e-04,
+    -1.45660718464996e-05,
+)
+
+
+def _cdf_form(num, den):
+    """Fold ``erf(z) = z P(z^2) / Q(z^2)`` into ``Phi(x) - 0.5 = x P'(x^2) / Q'(x^2)``.
+
+    Substitutes ``z = x / sqrt 2``, folds in the cdf's 0.5, and scales
+    both polynomials so ``Q'`` is monic (its Horner loop starts with an
+    add instead of a multiply).
+    """
+    lead = den[-1] / 2.0 ** (len(den) - 1)
+    return (
+        tuple(0.5 * a / _SQRT_2 ** (2 * k + 1) / lead for k, a in enumerate(num)),
+        tuple(b / 2.0**k / lead for k, b in enumerate(den)),
+    )
+
+
+#: Full-range cdf rational, valid on |x| <= 4 sqrt 2 (the clip).
+_CDF_NUM, _CDF_DEN = _cdf_form(_ERF_NUM, _ERF_DEN)
+_CDF_CLIP = 4.0 * _SQRT_2
+#: Blocks whose every element lies in |x| <= 3.5 take a lower-degree
+#: rational of the same form, ``Phi(x) - 0.5 = x P(x^2) / Q(x^2)`` with
+#: Q monic: a weighted minimax fit of ``(Phi(x) - 0.5) / x`` on
+#: [0, 3.5] (error 5.1e-8 in exact arithmetic, 2.4e-7 * max(1, |x|) in
+#: float32).  It needs no clip and no clamp and makes 18 passes where
+#: the full-range rational makes 26, about 30% less time per block.
+#: FFN pre-activations sit well inside it (|x| <= 2.7 in ``infer_eeg``);
+#: a block with any larger or NaN element takes the full-range path.
+_NARROW_LIMIT = 3.5
+_NARROW_NUM = (
+    4.630190071851052e02,
+    2.634781377099901e01,
+    3.895565421305792e00,
+    1.045768504004504e-02,
+    2.879270105173490e-04,
+)
+_NARROW_DEN = (
+    1.160615602879432e03,
+    2.594860516264675e02,
+    2.398615831989084e01,
+    1.0,
+)
+_INV_SQRT_2_PI = 1.0 / _SQRT_2_PI
+
+
+def _cdf_rational(x, square, num, den, phi, denom) -> None:
+    """``phi = 0.5 + x * num(square) / den(square)`` by Horner, in place.
+
+    ``den`` is monic.  ``denom`` may alias ``x``: ``x`` is last read
+    before ``denom`` is first written.
+    """
+    np.multiply(square, num[-1], out=phi)
+    for coefficient in num[-2:0:-1]:
+        phi += coefficient
+        phi *= square
+    phi += num[0]
+    phi *= x
+    np.add(square, den[-2], out=denom)
+    for coefficient in den[-3::-1]:
+        denom *= square
+        denom += coefficient
+    phi /= denom
+    phi += 0.5
 
 
 class FusedNumpyBackend(NumpyReferenceBackend):
@@ -333,6 +431,64 @@ class FusedNumpyBackend(NumpyReferenceBackend):
         grad_w = (grad * xhat).sum(axis=axes)
         grad_b = grad.sum(axis=axes)
         return grad_xhat, grad_w, grad_b
+
+    # -- activations ---------------------------------------------------------
+    def gelu(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if x.dtype != np.float32:  # repro: allow[dtype-literal] - the rational erf is float32-accurate only
+            return super().gelu(x)
+        cdf = np.empty(x.shape, dtype=x.dtype)
+        return self._gelu_float32(x, cdf), cdf
+
+    def gelu_infer(self, x: np.ndarray) -> np.ndarray:
+        if x.dtype != np.float32:  # repro: allow[dtype-literal] - the rational erf is float32-accurate only
+            return super().gelu_infer(x)
+        return self._gelu_float32(x, None)
+
+    def _gelu_float32(self, x: np.ndarray, cdf: np.ndarray | None) -> np.ndarray:
+        """``x * Phi(x)`` block by block; fills ``cdf`` with Phi when given.
+
+        ``x`` is only read: the clip and the polynomial terms live in
+        pooled scratch, and Phi is built in place in the block's ``cdf``
+        (or output) slice, so there are no full-size temporaries beyond
+        the returned arrays.  On the full-range path NaN propagates
+        through ``np.clip`` and Phi is clamped to [0, 1], so the tails
+        match SciPy bit for bit: Phi is exactly 0 or 1 beyond the clip,
+        ``-inf`` gives NaN, ``+inf`` gives ``+inf``.
+        """
+        out = np.empty(x.shape, dtype=x.dtype)
+        flat, out_flat = x.reshape(-1), out.reshape(-1)
+        cdf_flat = None if cdf is None else cdf.reshape(-1)
+        clipped_buf = self._scratch("gelu_clipped", (_GELU_BLOCK,), x.dtype)
+        square_buf = self._scratch("gelu_square", (_GELU_BLOCK,), x.dtype)
+        for start in range(0, flat.size, _GELU_BLOCK):
+            stop = min(start + _GELU_BLOCK, flat.size)
+            block = flat[start:stop]
+            clipped = clipped_buf[: stop - start]
+            square = square_buf[: stop - start]
+            phi = out_flat[start:stop] if cdf_flat is None else cdf_flat[start:stop]
+            if block.min() >= -_NARROW_LIMIT and block.max() <= _NARROW_LIMIT:
+                np.multiply(block, block, out=square)
+                _cdf_rational(block, square, _NARROW_NUM, _NARROW_DEN, phi, clipped)
+            else:
+                np.clip(block, -_CDF_CLIP, _CDF_CLIP, out=clipped)
+                np.multiply(clipped, clipped, out=square)
+                _cdf_rational(clipped, square, _CDF_NUM, _CDF_DEN, phi, clipped)
+                # In float32 the rational overshoots |erf| = 1 by up to
+                # 2e-7 for |z| in (3.6, 4]; clamping keeps Phi a
+                # probability and makes the tails exact.
+                np.clip(phi, 0.0, 1.0, out=phi)
+            np.multiply(block, phi, out=out_flat[start:stop])
+        return out
+
+    def gelu_backward(self, grad: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+        result = np.multiply(x, x)
+        result *= -0.5
+        np.exp(result, out=result)
+        result *= x
+        result *= _INV_SQRT_2_PI
+        result += cdf
+        result *= grad
+        return result
 
 
 from repro.kernels import backend as _backend_module

@@ -117,7 +117,10 @@ def _shard_ranges(total: int, shards: int) -> list[tuple[int, int]]:
 
 
 class ParallelNumpyBackend(FusedNumpyBackend):
-    """Batch-sharded fused kernels over the shared thread pool."""
+    """Batch-sharded fused kernels over the shared thread pool.
+
+    GELU is inherited from ``fused`` as is: it runs unsharded.
+    """
 
     name = "parallel"
 

@@ -7,7 +7,8 @@ as the normal case:
 
 * **spawned, never forked** — a worker is a fresh interpreter that
   rebuilds its engine from the artifact, so respawning one is the same
-  code path as starting it;
+  code path as starting it; it starts with its BLAS pinned to one
+  thread, so N workers run N BLAS threads, not N per CPU;
 * **heartbeats** — every worker runs a daemon thread that beats on its
   own response queue; the supervisor thread declares a worker dead
   when its process exits *or* its heartbeats go stale (a wedged or
@@ -36,6 +37,7 @@ through to the workers so the resilience suite and
 
 from __future__ import annotations
 
+import contextlib
 import os
 import queue as queue_module
 import threading
@@ -51,6 +53,32 @@ from repro.serve.artifact import ModelArtifact
 from repro.serve.chaos import ChaosSchedule
 
 __all__ = ["WorkerPool", "checksum"]
+
+#: BLAS/OpenMP thread-count variables pinned to 1 in every worker.  The
+#: BLAS libraries read them once, when numpy loads; a spawned worker
+#: loads numpy while it unpickles its arguments, before ``_worker_main``
+#: runs, so the pins must already be in the environment it starts with.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _single_threaded_blas_env():
+    """Set the BLAS thread pins in ``os.environ`` for a child about to start.
+
+    Process-level replication owns the cores: N workers each running one
+    BLAS thread per CPU would oversubscribe the host N-fold.  The
+    parent's own values are restored on exit.
+    """
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def checksum(payload: np.ndarray) -> int:
@@ -93,7 +121,7 @@ def _worker_main(
     from repro.serve.engine import InferenceEngine
 
     set_backend(backend_name)
-    set_num_threads(1)  # process-level replication owns the cores
+    set_num_threads(1)  # process-level replication owns the cores (BLAS: see _spawn_locked)
     engine = InferenceEngine(artifact, **engine_kwargs)
 
     stop_beating = threading.Event()
@@ -369,7 +397,8 @@ class WorkerPool:
             name=f"rita-worker-{worker_id}-g{generation}",
             daemon=True,
         )
-        process.start()
+        with _single_threaded_blas_env():
+            process.start()
         now = time.monotonic()
         self._slots[worker_id] = _WorkerSlot(
             worker_id=worker_id,

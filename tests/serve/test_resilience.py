@@ -15,6 +15,8 @@ would be meaningless.
 from __future__ import annotations
 
 import contextlib
+import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -102,6 +104,42 @@ class TestHappyPath:
             router.close()
             with pytest.raises(ConfigError, match="router is closed"):
                 router.submit("classify", make_requests(1)[0])
+
+
+def _initial_environ(pid):
+    """A process's environment as it was exec'd (Linux ``/proc``)."""
+    with open(f"/proc/{pid}/environ", "rb") as handle:
+        entries = handle.read().split(b"\0")
+    return dict(entry.decode().split("=", 1) for entry in entries if b"=" in entry)
+
+
+class TestWorkerEnvironment:
+    @pytest.mark.skipif(
+        not os.path.exists(f"/proc/{os.getpid()}/environ"),
+        reason="reads a child's start-up environment from /proc",
+    )
+    def test_workers_start_with_single_threaded_blas(self, artifact, monkeypatch):
+        # numpy sizes its BLAS pool when a spawned worker unpickles its
+        # arguments, so the pins must be in the environment it starts with.
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        parent_before = dict(os.environ)
+        with cluster(artifact, n_workers=2) as (pool, router):
+            assert wait_until(lambda: pool.ready_count() == 2)
+            workers = [
+                child for child in multiprocessing.active_children()
+                if child.name.startswith("rita-worker-")
+            ]
+            assert len(workers) == 2
+            for worker in workers:
+                environ = _initial_environ(worker.pid)
+                for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                    assert environ.get(name) == "1", (worker.name, name)
+            assert dict(os.environ) == parent_before
+            series = make_requests(1)[0]
+            assert router.request("classify", series, deadline_s=60.0).shape == (1, 3)
+        assert dict(os.environ) == parent_before
 
 
 class TestWorkerKill:
